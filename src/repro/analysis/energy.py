@@ -161,16 +161,15 @@ def run_managed(
     undersupplied_vs_demand = 0.0
     for k in range(demand.size):
         point = manager.decide()
-        allocated[k] = manager.window[0]
         step = battery.step(actual_supply[k], point.power, tau)
         used[k] = point.power
         delivered[k] = step.drawn / tau
         levels[k] = step.level
         # Demand energy not served this slot (plan throttling + battery floor)
         undersupplied_vs_demand += max(0.0, (demand[k] - delivered[k]) * tau)
-        manager.advance(
+        allocated[k] = manager.advance(
             used_power=delivered[k], supplied_power=actual_supply[k]
-        )
+        ).allocated_power
     return EnergyRunResult(
         name=name,
         wasted=battery.total_wasted,

@@ -123,6 +123,11 @@ class DynamicPowerManager:
         self._level: float = float(spec.initial)
         self._window: np.ndarray | None = None
         self._point: OperatingPoint = frontier.points[0]
+        self._decision: OperatingPoint | None = None  # decide() memo
+        # two periods of the expected charging, so every window-aligned
+        # slice of it is a plain array view (built by start())
+        self._charging2: np.ndarray | None = None
+        self._rolled: np.ndarray | None = None  # advance()'s scratch window
         self.history: list[ManagerStep] = []
 
     # ------------------------------------------------------------------
@@ -206,18 +211,18 @@ class DynamicPowerManager:
         self._level = float(self.spec.initial if level is None else level)
         self._window = np.roll(self.base_usage.values, -s0)
         self._point = self.frontier.points[0]
+        self._decision = None
+        self._charging2 = np.tile(self.charging.values, 2)
+        self._rolled = np.empty_like(self._window)
         self.history = []
         # gap vs. the *planned* level at this point of the period
         planned_here = float(self.allocation.trajectory[s0])
         start_gap = self._level - planned_here
         if abs(start_gap) > 1e-9:
-            charging = np.array(
-                [self.charging[s0 + i] for i in range(self._window.size)]
-            )
             result = redistribute_deviation(
                 self._window,
                 start_gap,
-                charging=charging,
+                charging=self._charging2[s0 : s0 + self._window.size],
                 initial_level=self._level,
                 spec=self.spec,
                 tau=self.grid.tau,
@@ -248,10 +253,16 @@ class DynamicPowerManager:
         """Pick the operating point for the current slot (Algorithm 2 step).
 
         Idempotent: does not advance time.  Applies the overhead gate
-        against the point active in the previous slot.
+        against the point active in the previous slot.  The choice is
+        memoized until :meth:`advance` or :meth:`start` moves the loop, so
+        callers that decide and then advance pay for one decision.
         """
         window = self._require_started()
-        budget = float(window[0])
+        if self._decision is None:
+            self._decision = self._choose(float(window[0]))
+        return self._decision
+
+    def _choose(self, budget: float) -> OperatingPoint:
         candidate = self.frontier.best_within_power(budget)
         if candidate == self._point:
             return self._point
@@ -284,9 +295,10 @@ class DynamicPowerManager:
         switched = decision != self._point
         overhead = self.overheads.cost(self._point, decision) if switched else 0.0
         self._point = decision
+        self._decision = None
 
         drawn = decision.power + overhead / tau if used_power is None else float(used_power)
-        expected_c = self.charging[slot_in_period]
+        expected_c = float(self._charging2[slot_in_period])
         supplied = expected_c if supplied_power is None else float(supplied_power)
 
         allocated = float(window[0])
@@ -297,18 +309,18 @@ class DynamicPowerManager:
         # battery bookkeeping (clamped; waste/undersupply tracked by the sim)
         self._level = self.spec.clamp(self._level + (supplied - drawn) * tau)
 
-        # roll the window: drop the consumed slot, append next period's base
-        next_base = self.base_usage[slot_in_period]  # same slot, next period
-        rolled = np.concatenate([window[1:], [next_base]])
+        # roll the window: drop the consumed slot, append the base plan's
+        # value for the same slot of the next period
+        rolled = self._rolled
+        rolled[:-1] = window[1:]
+        rolled[-1] = self.base_usage.values[slot_in_period]
 
-        # expected charging aligned with the rolled window
-        future_charge = np.array(
-            [self.charging[slot_in_period + 1 + i] for i in range(rolled.size)]
-        )
+        # redistribute_deviation copies ``rolled``, so the scratch array
+        # never leaks into the window it returns
         result = redistribute_deviation(
             rolled,
             e_diff,
-            charging=future_charge,
+            charging=self._charging2[slot_in_period + 1 : slot_in_period + 1 + rolled.size],
             initial_level=self._level,
             spec=self.spec,
             tau=tau,

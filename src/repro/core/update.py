@@ -55,7 +55,18 @@ def planned_trajectory(
     charging = np.asarray(charging, dtype=float)
     if pinit.shape != charging.shape:
         raise ValueError("pinit and charging arrays must have equal length")
-    return initial_level + np.cumsum(charging - pinit) * tau
+    return initial_level + (charging - pinit).cumsum() * tau
+
+
+def _horizon(traj: np.ndarray, spec: BatterySpec, surplus: bool) -> int:
+    """Slots until ``traj`` first touches ``C_max`` (surplus) or ``C_min``
+    (deficit); the whole trajectory when it never does."""
+    if surplus:
+        hits = traj >= spec.c_max - 1e-12
+    else:
+        hits = traj <= spec.c_min + 1e-12
+    first = int(hits.argmax())
+    return first + 1 if hits[first] else traj.size
 
 
 def find_horizon(
@@ -73,13 +84,7 @@ def find_horizon(
     if direction not in ("surplus", "deficit"):
         raise ValueError(f"direction must be 'surplus' or 'deficit', got {direction!r}")
     traj = planned_trajectory(pinit, charging, initial_level, tau)
-    if direction == "surplus":
-        hits = np.nonzero(traj >= spec.c_max - 1e-12)[0]
-    else:
-        hits = np.nonzero(traj <= spec.c_min + 1e-12)[0]
-    if hits.size == 0:
-        return len(traj)
-    return max(int(hits[0]) + 1, 1)
+    return _horizon(traj, spec, direction == "surplus")
 
 
 def redistribute_deviation(
@@ -115,9 +120,10 @@ def redistribute_deviation(
     if ceiling is not None and ceiling < floor:
         raise ValueError("ceiling must be >= floor")
 
-    direction = "surplus" if e_diff > 0 else "deficit"
+    # Algorithm 3 lines 3/8 (find_horizon without its direction check)
     if charging is not None and spec is not None and initial_level is not None:
-        horizon = find_horizon(pinit, charging, initial_level, tau, spec, direction)
+        traj = planned_trajectory(pinit, charging, initial_level, tau)
+        horizon = _horizon(traj, spec, e_diff > 0)
     else:
         horizon = pinit.size
 
@@ -133,13 +139,13 @@ def redistribute_deviation(
             room = np.maximum(hi - window, 0.0)
         else:
             room = np.maximum(window - floor, 0.0)
-        if not np.any(room > 0):
+        has_room = room > 0
+        if not has_room.any():
             break
-        weights = window.copy()
-        weights[room <= 0] = 0.0
+        weights = np.where(has_room, window, 0.0)
         total_w = weights.sum()
         if total_w <= 0:  # plan is all-zero in the window: spread evenly
-            weights = (room > 0).astype(float)
+            weights = has_room.astype(float)
             total_w = weights.sum()
         delta_power = remaining / tau * weights / total_w  # W per slot
         capped = np.sign(delta_power) * np.minimum(np.abs(delta_power), room)

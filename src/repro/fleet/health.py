@@ -210,8 +210,12 @@ class HealthMonitor:
             raise ValueError("health monitor needs at least one backend")
         # One persistent client per backend: it closes itself on any
         # transport error (see PlanClient.request) and reconnects on the
-        # next probe, so a flapping backend cannot leak sockets.
+        # next probe, so a flapping backend cannot leak sockets.  A
+        # PlanClient is not thread-safe, and probe_once() runs on the
+        # monitor thread and on callers' threads alike, so every use of
+        # these clients holds _probe_lock.
         self._clients: "dict[str, PlanClient]" = {}
+        self._probe_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
 
@@ -255,33 +259,38 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
     def probe_once(self) -> "dict[str, bool]":
-        """Probe every backend now; returns address → reachable."""
-        results: "dict[str, bool]" = {}
-        for address, health in self._backends.items():
-            client = self._clients.get(address)
-            if client is None:
-                client = self._clients[address] = self._client_factory(
-                    address, timeout=self.probe_timeout_s
-                )
-            try:
-                status = client.status()
-            except (ClientError, OSError) as exc:
-                health.breaker.record_failure()
-                health.record_status(None, f"{type(exc).__name__}: {exc}")
-                results[address] = False
-            except PlanServiceError as exc:
-                # The replica *answered*, with an error: it is alive.
-                # Sheds and refusals are routing information, not ill
-                # health — only transport failures count against the
-                # breaker (see the module docstring).
-                health.breaker.record_success()
-                health.record_status(None, f"{type(exc).__name__}: {exc}")
-                results[address] = True
-            else:
-                health.breaker.record_success()
-                health.record_status(status, None)
-                results[address] = True
-        return results
+        """Probe every backend now; returns address → reachable.
+
+        Concurrent calls are serialized: each backend's client carries one
+        request at a time.
+        """
+        with self._probe_lock:
+            results: "dict[str, bool]" = {}
+            for address, health in self._backends.items():
+                client = self._clients.get(address)
+                if client is None:
+                    client = self._clients[address] = self._client_factory(
+                        address, timeout=self.probe_timeout_s
+                    )
+                try:
+                    status = client.status()
+                except (ClientError, OSError) as exc:
+                    health.breaker.record_failure()
+                    health.record_status(None, f"{type(exc).__name__}: {exc}")
+                    results[address] = False
+                except PlanServiceError as exc:
+                    # The replica *answered*, with an error: it is alive.
+                    # Sheds and refusals are routing information, not ill
+                    # health — only transport failures count against the
+                    # breaker (see the module docstring).
+                    health.breaker.record_success()
+                    health.record_status(None, f"{type(exc).__name__}: {exc}")
+                    results[address] = True
+                else:
+                    health.breaker.record_success()
+                    health.record_status(status, None)
+                    results[address] = True
+            return results
 
     def start(self) -> None:
         if self._thread is not None:
@@ -296,9 +305,10 @@ class HealthMonitor:
         if self._thread is not None:
             self._thread.join(timeout=self.probe_timeout_s + 2.0)
             self._thread = None
-        for client in self._clients.values():
-            client.close()
-        self._clients.clear()
+        with self._probe_lock:
+            for client in self._clients.values():
+                client.close()
+            self._clients.clear()
 
     def _probe_loop(self) -> None:
         # First probe immediately: the gateway starts with real health

@@ -70,6 +70,47 @@ class TestRuntimeLoop:
         assert mgr.decide() == mgr.decide()
         assert mgr.slot == 0
 
+    def test_decide_is_memoized_until_the_loop_moves(self, mgr, monkeypatch):
+        mgr.start()
+        calls = []
+        choose = mgr.frontier.best_within_power
+        monkeypatch.setattr(
+            mgr.frontier, "best_within_power", lambda b: calls.append(b) or choose(b)
+        )
+        first = mgr.decide()
+        assert mgr.decide() is first
+        assert len(calls) == 1
+        step = mgr.advance()  # reuses the memo: no second decision
+        assert step.point is first
+        assert len(calls) == 1
+        mgr.decide()
+        assert calls == [pytest.approx(step.allocated_power), pytest.approx(mgr.window[0])]
+
+    def test_decide_is_recomputed_after_advance(self, mgr):
+        """A stale memo would keep drawing a point the shrunken window can
+        no longer afford; the forced downswitch must happen."""
+        mgr.start()
+        cheapest = mgr.frontier.points[0]
+        for _ in range(6):
+            mgr.decide()
+            mgr.advance(used_power=3.0 * mgr.frontier.max_power, supplied_power=0.0)
+            assert mgr.decide().power <= max(mgr.window[0], cheapest.power) + 1e-9
+        assert mgr.decide() == cheapest
+
+    def test_start_resets_the_decision_for_a_mid_period_restart(self, mgr, sc1, frontier):
+        def fresh_decision(slot: int):
+            other = DynamicPowerManager(
+                sc1.charging, sc1.event_demand, sc1.weight(), frontier=frontier, spec=sc1.spec
+            )
+            other.start(level=mgr.level, slot=slot)
+            return other.decide()
+
+        mgr.start()
+        first = mgr.decide()
+        slot = next(k for k in range(1, 12) if fresh_decision(k) != first)
+        mgr.start(level=mgr.level, slot=slot)
+        assert mgr.decide() == fresh_decision(slot)
+
     def test_advance_moves_slot_and_records(self, mgr):
         mgr.start()
         step = mgr.advance()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.fleet.health import CircuitBreaker, HealthMonitor
@@ -150,6 +153,50 @@ class TestHealthMonitor:
         monitor.probe_once()  # half-open trial succeeds
         assert monitor.healthy() == ("unix:/a",)
         assert monitor.backend("unix:/a").breaker.state == "closed"
+
+    def test_concurrent_probes_never_share_a_client(self):
+        """The monitor thread and a direct probe_once() call must not drive
+        one backend's client at the same time (a PlanClient is not
+        thread-safe)."""
+
+        class OverlapClient:
+            guard = threading.Lock()
+            active: "dict[str, int]" = {}
+            overlaps: "list[str]" = []
+
+            def __init__(self, address: str, *, timeout=None):
+                self.address = address
+
+            def status(self) -> dict:
+                with self.guard:
+                    self.active[self.address] = self.active.get(self.address, 0) + 1
+                    if self.active[self.address] > 1:
+                        self.overlaps.append(self.address)
+                time.sleep(0.05)
+                with self.guard:
+                    self.active[self.address] -= 1
+                return {}
+
+            def close(self) -> None:
+                pass
+
+        monitor = HealthMonitor(["unix:/a", "unix:/b"], client_factory=OverlapClient)
+        n_threads = 4  # more probing threads than cores
+        barrier = threading.Barrier(n_threads)
+        results: "list[dict]" = []
+
+        def probe() -> None:
+            barrier.wait(timeout=5.0)
+            results.append(monitor.probe_once())
+
+        threads = [threading.Thread(target=probe) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert results == [{"unix:/a": True, "unix:/b": True}] * n_threads
+        assert OverlapClient.overlaps == []
 
     def test_needs_backends(self):
         with pytest.raises(ValueError):
