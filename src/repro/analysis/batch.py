@@ -348,10 +348,6 @@ def warm_plans(
     return len(seen)
 
 
-# Backwards-compatible private alias (pre-executor-refactor name).
-_warm_plans = warm_plans
-
-
 # ----------------------------------------------------------------------
 # the reusable executor (shared by run_grid and the plan-serving daemon)
 # ----------------------------------------------------------------------

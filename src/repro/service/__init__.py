@@ -11,6 +11,10 @@ answers them off the same planning machinery the one-shot CLI uses:
 * :mod:`repro.service.cache` — the bounded LRU fronting the planner;
 * :mod:`repro.service.metrics` — request/latency/cache counters and
   histograms behind the ``status`` RPC and the periodic log line;
+* :mod:`repro.service.transport` —
+  :class:`~repro.service.transport.LineServer`, the socket lifecycle the
+  daemon and the fleet gateway share (bind, self-healing acceptor,
+  per-connection loop, request accounting, drain, signal handlers);
 * :mod:`repro.service.server` — :class:`~repro.service.server.PlanServer`
   (request coalescing, executor batching, deadlines, backpressure,
   graceful drain);

@@ -50,11 +50,8 @@ Serving model
 
 from __future__ import annotations
 
-import errno
 import logging
 import os
-import signal
-import socket
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -73,32 +70,19 @@ from ..core.allocation import (
 from ..core.pareto import OperatingFrontier
 from ..scenarios.paper import pama_frontier
 from .cache import LRUCache, load_cache_snapshot, save_cache_snapshot
-from .metrics import ServiceMetrics
 from .protocol import (
-    MAX_LINE_BYTES,
     PlanRequest,
     ProtocolError,
     decode_message,
     encode_message,
-    error_response,
-    ok_response,
-    parse_address,
     resolve_scenario,
     scenario_names,
 )
+from .transport import LineServer
 
 __all__ = ["ServerConfig", "PlanServer"]
 
 logger = logging.getLogger(__name__)
-
-#: ``accept()`` failures worth retrying in place (load- or fd-pressure
-#: hiccups); anything else gets a full listener rebind.
-_ACCEPT_TRANSIENT_ERRNOS = frozenset(
-    getattr(errno, name)
-    for name in ("ECONNABORTED", "EMFILE", "ENFILE", "ENOBUFS", "ENOMEM", "EPROTO")
-    if hasattr(errno, name)
-)
-
 
 @dataclass
 class ServerConfig:
@@ -113,7 +97,6 @@ class ServerConfig:
     drain_timeout_s: float = 10.0  #: bound on the SIGTERM drain
     metrics_interval_s: float = 60.0  #: periodic log cadence (0 disables)
     alloc_memo_size: "int | None" = None  #: resize the allocation memo
-    accept_backlog: int = 128
     verify: bool = False  #: run every computed plan through the oracle
     # --- supervision (see repro.analysis.supervisor) ---
     cell_timeout_s: "float | None" = None  #: watchdog kill for hung cells (None = off)
@@ -137,8 +120,11 @@ class _Inflight:
         self.waiters = 0
 
 
-class PlanServer:
+class PlanServer(LineServer):
     """See the module docstring for the serving model."""
+
+    name = "plan-server"
+    stopped_event = "service_stopped"
 
     def __init__(
         self,
@@ -146,9 +132,8 @@ class PlanServer:
         *,
         frontier: "OperatingFrontier | None" = None,
     ):
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig())
         self.frontier = frontier if frontier is not None else pama_frontier()
-        self.metrics = ServiceMetrics()
         self._verifier = None
         if self.config.verify:
             from ..verify.runtime import RuntimeVerifier
@@ -163,41 +148,32 @@ class PlanServer:
         self._fallback_lock = threading.Lock()
         self._fallback_index: "dict[tuple, dict[str, float]]" = {}
         self._executor: "SupervisedExecutor | None" = None
-        self._listener: "socket.socket | None" = None
-        self._endpoint: "str | None" = None
-        self._unix_path: "str | None" = None
 
         self._dispatch_lock = threading.Lock()
         self._inflight: "dict[str, _Inflight]" = {}
         self._pending = 0
-        self._active_requests = 0  # requests currently being handled
-
-        self._threads: "list[threading.Thread]" = []
-        self._conns: "dict[int, socket.socket]" = {}
-        self._conn_lock = threading.Lock()
-
-        self._started = False
-        self._stop_lock = threading.Lock()
-        self._stopping = False
-        self._draining = threading.Event()
-        self._stop_event = threading.Event()
-        self._stopped = threading.Event()
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle (socket plumbing: repro.service.transport.LineServer)
     # ------------------------------------------------------------------
-    @property
-    def endpoint(self) -> str:
-        """The bound address (with the real port for ``tcp:...:0`` binds)."""
-        if self._endpoint is None:
-            raise RuntimeError("server is not started")
-        return self._endpoint
-
     def start(self) -> None:
-        """Bind, start the acceptor and metrics threads, build the executor."""
-        if self._started:
-            raise RuntimeError("server already started")
-        self._started = True
+        """Build the executor, bind, start the acceptor and metrics threads."""
+        super().start()
+        if self.config.metrics_interval_s > 0:
+            self._spawn(self._metrics_loop, "metrics")
+        if self.config.snapshot_path and self.config.snapshot_interval_s > 0:
+            self._spawn(self._snapshot_loop, "snapshot")
+        logger.info(
+            "plan server listening on %s (%s executor, %d workers, "
+            "cache %d, max_pending %d)",
+            self._endpoint,
+            self._executor.mode,
+            self.config.n_workers,
+            self.config.cache_size,
+            self.config.max_pending,
+        )
+
+    def _setup(self) -> None:
         if self.config.alloc_memo_size is not None:
             set_allocation_cache_maxsize(self.config.alloc_memo_size)
         self._executor = SupervisedExecutor(
@@ -220,156 +196,27 @@ class PlanServer:
                     restored,
                     self.config.snapshot_path,
                 )
-        self._listener = self._bind(self.config.address)
-        acceptor = threading.Thread(
-            target=self._accept_loop, name="plan-server-accept", daemon=True
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
-        if self.config.metrics_interval_s > 0:
-            reporter = threading.Thread(
-                target=self._metrics_loop, name="plan-server-metrics", daemon=True
-            )
-            reporter.start()
-            self._threads.append(reporter)
-        if self.config.snapshot_path and self.config.snapshot_interval_s > 0:
-            snapshotter = threading.Thread(
-                target=self._snapshot_loop, name="plan-server-snapshot", daemon=True
-            )
-            snapshotter.start()
-            self._threads.append(snapshotter)
-        logger.info(
-            "plan server listening on %s (%s executor, %d workers, "
-            "cache %d, max_pending %d)",
-            self._endpoint,
-            self._executor.mode,
-            self.config.n_workers,
-            self.config.cache_size,
-            self.config.max_pending,
-        )
 
-    def _bind(self, address: str) -> socket.socket:
-        parsed = parse_address(address)
-        if parsed[0] == "unix":
-            path = parsed[1]
-            if os.path.exists(path):
-                probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                try:
-                    probe.connect(path)
-                except OSError:
-                    os.unlink(path)  # stale socket from a dead daemon
-                else:
-                    probe.close()
-                    # EADDRINUSE, same as a TCP bind collision would raise:
-                    # callers get one error type for "address taken".
-                    raise OSError(
-                        errno.EADDRINUSE,
-                        f"address {path!r} already has a live server",
-                    )
-                finally:
-                    probe.close()
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.bind(path)
-            self._unix_path = path
-            self._endpoint = f"unix:{path}"
-        else:
-            _, host, port = parsed
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, port))
-            self._endpoint = f"tcp:{host}:{sock.getsockname()[1]}"
-        sock.listen(self.config.accept_backlog)
-        return sock
+    def _idle(self) -> bool:
+        with self._dispatch_lock:
+            return self._pending == 0
 
-    def serve_forever(self) -> None:
-        """Start (if needed) and block until the server has fully stopped."""
-        if not self._started:
-            self.start()
-        while not self._stopped.wait(0.2):
-            pass
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → graceful drain (call from the main thread)."""
-        owner_pid = os.getpid()
-
-        def _handler(signum: int, frame) -> None:
-            if os.getpid() != owner_pid:
-                # A forked child (e.g. a pool worker spawned after these
-                # handlers were installed) inherited this handler.  The
-                # drain must never run against inherited server state —
-                # shutdown(2) on the shared listener fd would un-listen
-                # the socket for the parent too.  Die like a default
-                # SIGTERM would.
-                signal.signal(signum, signal.SIG_DFL)
-                os.kill(os.getpid(), signum)
-                return
-            logger.info("received signal %d: draining", signum)
-            threading.Thread(
-                target=self.stop, name="plan-server-drain", daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handler)
-        signal.signal(signal.SIGINT, _handler)
-
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop serving; with ``drain``, finish in-flight work first."""
-        with self._stop_lock:
-            if self._stopping:
-                self._stopped.wait(self.config.drain_timeout_s + 5.0)
-                return
-            self._stopping = True
-        self._draining.set()
-        self._stop_event.set()
-        if self._listener is not None:
-            # shutdown() before close(): closing alone does not wake a
-            # blocked accept() on Linux, which would stall the drain on
-            # the acceptor thread's join timeout.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout_s
-            while time.monotonic() < deadline:
-                with self._dispatch_lock:
-                    if self._pending == 0:
-                        break
-                time.sleep(0.005)
+    def _quiesce(self) -> None:
         if self._executor is not None:
             # Cancelled futures wake any remaining waiters with a
             # ``shutting_down`` response — shed, never hung.
             self._executor.shutdown(wait=True, cancel_futures=True)
-        # Unblock connection readers; each thread flushes its last write
-        # and closes its own socket on the way out.
-        with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=2.0)
-        with self._conn_lock:
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            self._conns.clear()
-        if self._unix_path and os.path.exists(self._unix_path):
-            try:
-                os.unlink(self._unix_path)
-            except OSError:
-                pass
+
+    def _release(self) -> None:
         self._save_snapshot(reason="drain")
-        logger.info("%s", self.metrics.log_line(event="service_stopped"))
-        self._stopped.set()
+
+    # The codec is called through this module's globals so the benchmark
+    # tracer (perfbench/tracing.py) can wrap them here.
+    def _decode(self, line: bytes) -> dict:
+        return decode_message(line)
+
+    def _encode(self, response: dict) -> bytes:
+        return encode_message(response)
 
     # ------------------------------------------------------------------
     # plan-cache snapshot persistence
@@ -408,131 +255,8 @@ class PlanServer:
                 self._fallback_index.setdefault(key, {})[digest] = factor
 
     # ------------------------------------------------------------------
-    # connection plumbing
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop_event.is_set():
-            listener = self._listener
-            if listener is None:
-                break
-            try:
-                conn, _ = listener.accept()
-            except OSError as exc:
-                if self._stop_event.is_set():
-                    break  # listener closed by stop()
-                # A dead acceptor is the worst failure mode: the socket
-                # stays bound-but-unserved, refusing every new client
-                # while established connections keep working — invisible
-                # to connection-pooling health checks.  Never die silently.
-                if exc.errno in _ACCEPT_TRANSIENT_ERRNOS:
-                    logger.warning("accept failed (%s); retrying", exc)
-                    time.sleep(0.05)
-                    continue
-                logger.error("accept failed (%s); rebinding listener", exc)
-                if not self._rebind_listener():
-                    break
-                continue
-            self.metrics.inc("connections_opened")
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="plan-server-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._conns[id(conn)] = conn
-            self._threads.append(thread)
-            thread.start()
-
-    def _rebind_listener(self) -> bool:
-        """Self-heal a listener whose ``accept()`` keeps failing hard
-        (e.g. the fd was sabotaged out from under us): close it, clear a
-        stale unix socket file, and bind the same endpoint afresh."""
-        old = self._listener
-        if old is not None:
-            try:
-                old.close()
-            except OSError:
-                pass
-        if self._unix_path and os.path.exists(self._unix_path):
-            try:
-                os.unlink(self._unix_path)
-            except OSError:
-                pass
-        try:
-            # The resolved endpoint, not config.address: a ``tcp:...:0``
-            # bind must come back on the port clients already know.
-            self._listener = self._bind(self.endpoint)
-        except OSError as exc:
-            logger.critical(
-                "listener rebind on %s failed (%s); acceptor exiting",
-                self._endpoint,
-                exc,
-            )
-            return False
-        self.metrics.inc("listener_rebinds")
-        logger.warning("listener re-bound on %s", self._endpoint)
-        return True
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        fh = conn.makefile("rb")
-        try:
-            while True:
-                line = fh.readline(MAX_LINE_BYTES + 1)
-                if not line:
-                    break
-                response = self._handle_line(line)
-                try:
-                    conn.sendall(encode_message(response))
-                except OSError:
-                    break
-        finally:
-            try:
-                fh.close()
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._conn_lock:
-                self._conns.pop(id(conn), None)
-            self.metrics.inc("connections_closed")
-
-    # ------------------------------------------------------------------
     # request dispatch
     # ------------------------------------------------------------------
-    def _handle_line(self, line: bytes) -> dict:
-        try:
-            message = decode_message(line)
-        except ProtocolError as exc:
-            self.metrics.inc("requests_total")
-            self.metrics.inc(f"errors_{exc.code}")
-            return error_response(None, exc.code, exc.message)
-        request_id = message.get("id")
-        op = message.get("op")
-        self.metrics.inc("requests_total")
-        self.metrics.inc(f"requests_{op}" if isinstance(op, str) else "requests_invalid")
-        with self._dispatch_lock:
-            self._active_requests += 1
-        t0 = time.perf_counter()
-        try:
-            result = self._dispatch(op, message)
-            response = ok_response(request_id, result)
-        except ProtocolError as exc:
-            self.metrics.inc(f"errors_{exc.code}")
-            response = error_response(request_id, exc.code, exc.message)
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("internal error serving %r", op)
-            self.metrics.inc("errors_internal")
-            response = error_response(request_id, "internal", f"{type(exc).__name__}: {exc}")
-        finally:
-            if isinstance(op, str):
-                self.metrics.observe(f"latency_{op}_s", time.perf_counter() - t0)
-            with self._dispatch_lock:
-                self._active_requests -= 1
-        return response
-
     def _dispatch(self, op: object, message: Mapping) -> dict:
         if op == "ping":
             return {"pong": True, "draining": self._draining.is_set()}
@@ -545,9 +269,7 @@ class PlanServer:
         if op == "sweep":
             return self._handle_sweep(message)
         if op == "shutdown":
-            threading.Thread(
-                target=self.stop, name="plan-server-shutdown", daemon=True
-            ).start()
+            self._spawn(self.stop, "shutdown")
             return {"stopping": True}
         raise ProtocolError(
             "bad_request",
@@ -880,9 +602,9 @@ class PlanServer:
         with self._dispatch_lock:
             pending = self._pending
             inflight = len(self._inflight)
-            # Minus this status request itself: the caller wants to know
-            # how loaded the replica is, not that it is being asked.
-            active = self._active_requests - 1
+        # Minus this status request itself: the caller wants to know how
+        # loaded the replica is, not that it is being asked.
+        active = self._active_requests - 1
         return {
             # The one-stop load view gateway health probes read: how busy
             # is this replica right now, and is its cache pulling weight?
