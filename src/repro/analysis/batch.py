@@ -299,6 +299,23 @@ def _jsonable(value: object) -> object:
 # ----------------------------------------------------------------------
 _worker_frontier: OperatingFrontier | None = None
 
+#: How often a pool worker checks that the process that started it lives.
+_PARENT_POLL_S = 1.0
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Poll until this worker is re-parented (its parent died, even by
+    SIGKILL, which runs no cleanup), then exit so it is not left orphaned.
+
+    Not ``PR_SET_PDEATHSIG``: that fires when the *thread* that forked the
+    worker exits, and ``ProcessPoolExecutor`` forks from whichever thread
+    first submits — a daemon connection thread whose exit would kill a
+    healthy pool.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
 
 def _init_worker(
     frontier: OperatingFrontier | None,
@@ -315,6 +332,12 @@ def _init_worker(
 
     _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
     _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(os.getppid(),),
+        name="parent-watch",
+        daemon=True,
+    ).start()
     global _worker_frontier
     _worker_frontier = frontier
     set_allocation_cache_enabled(cache_enabled)

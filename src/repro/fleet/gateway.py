@@ -22,6 +22,11 @@ but instead of computing plans it *routes* them:
   attempt at the next-ranked replica and takes whichever answers first.
   Plans are deterministic and content-cached, so duplicated work is
   bounded and harmless.
+* **Pass-through** — a backend's success reply is relayed as bytes: the
+  gateway takes the ``result`` object's encoding from the backend frame
+  and appends ``"served_by"`` before its closing brace, with no decode
+  and re-encode.  Any other frame (an error, an empty result, one that
+  already names ``served_by``) takes the decoded path.
 * **Aggregation** — ``status`` returns a fleet view: per-replica health,
   load, and cache stats plus fleet-wide totals.
 
@@ -43,6 +48,7 @@ from dataclasses import dataclass, field
 
 from ..service.client import ClientError, PlanServiceError
 from ..service.protocol import (
+    EncodedResult,
     PlanRequest,
     ProtocolError,
     decode_message,
@@ -62,6 +68,22 @@ logger = logging.getLogger(__name__)
 #: Error codes that mean "this replica cannot take the request right
 #: now, another might" — they trigger failover, not failure.
 _SHED_CODES = ("overloaded", "shutting_down")
+
+
+def _with_served_by(
+    result: "EncodedResult | dict", address: str
+) -> "EncodedResult | dict":
+    """``{**result, "served_by": address}``, spliced into the backend's
+    result bytes when they are a non-empty object without ``served_by``
+    (splicing into ``{}`` or onto an existing key would corrupt the frame);
+    decoded and merged otherwise."""
+    if isinstance(result, EncodedResult):
+        if result == b"{}" or b'"served_by":' in result:
+            result = decode_message(result)
+        else:
+            tag = dumps_json(address).encode("utf-8")
+            return EncodedResult(result[:-1] + b',"served_by":' + tag + b"}")
+    return {**result, "served_by": address}
 
 
 @dataclass
@@ -154,7 +176,7 @@ class PlanGateway(LineServer):
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, op: object, message: dict) -> dict:
+    def _dispatch(self, op: object, message: dict) -> "dict | EncodedResult":
         if op == "ping":
             return {
                 "pong": True,
@@ -212,7 +234,7 @@ class PlanGateway(LineServer):
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
-    def _forward(self, message: dict, key: str, *, op: str) -> dict:
+    def _forward(self, message: dict, key: str, *, op: str) -> "dict | EncodedResult":
         payload = {k: v for k, v in message.items() if k != "id"}
         ranked = self._router.rank(key)
         candidates = [addr for addr in ranked if self._monitor.allow(addr)]
@@ -253,7 +275,7 @@ class PlanGateway(LineServer):
             status, value = outcome
             if status == "ok":
                 address, result = value
-                return {**result, "served_by": address}
+                return _with_served_by(result, address)
             if status == "reject":
                 raise ProtocolError(value.code, value.message)
             if status == "shed":
@@ -283,7 +305,9 @@ class PlanGateway(LineServer):
     def _classified_attempt(self, address: str, payload: dict):
         """One forward to one replica → ``(status, value)``.
 
-        ``("ok", (address, result))`` · ``("shed", error)`` — alive but
+        ``("ok", (address, result))`` — ``result`` as
+        :meth:`~repro.service.client.PlanClient.request_encoded` returns
+        it · ``("shed", error)`` — alive but
         refusing, try elsewhere · ``("reject", error)`` — deterministic
         answer, do not retry · ``("transport", error)`` — unreachable,
         breaker notified.
@@ -292,7 +316,7 @@ class PlanGateway(LineServer):
         t0 = time.perf_counter()
         try:
             with self._pools[address].lease() as client:
-                result = client.request(payload)
+                result = client.request_encoded(payload)
         except (ClientError, OSError) as exc:
             self._monitor.record_failure(address)
             if self._monitor.backend(address).breaker.state == "open":

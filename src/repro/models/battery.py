@@ -197,7 +197,9 @@ class Battery:
         if surplus > 0 and level < self.spec.c_max:
             # cell absorbs at η_c·surplus until full
             rate = eta_c * surplus
-            t_hit = (self.spec.c_max - level) / rate
+            # A subnormal surplus can underflow the rate to 0: then the
+            # cell never fills within the step.
+            t_hit = (self.spec.c_max - level) / rate if rate > 0 else dt
             t_rise = min(t_hit, dt)
             charged += surplus * t_rise
             loss += (1.0 - eta_c) * surplus * t_rise

@@ -8,6 +8,10 @@ payloads.  It sits *in front of* the allocation memo in
 deduplicates the Algorithm-1 work of distinct requests that share an
 allocation problem.
 
+Each value is a :class:`PlanEntry`: the payload dict, plus the encoded
+body of its cache-hit reply once the daemon has built it.  Both live in
+the one LRU slot, so evicting a plan drops its bytes too.
+
 Crash-safe snapshots
 --------------------
 :func:`save_cache_snapshot` / :func:`load_cache_snapshot` persist the
@@ -37,6 +41,7 @@ from ..util.jsonio import dump_json
 __all__ = [
     "CacheStats",
     "LRUCache",
+    "PlanEntry",
     "SNAPSHOT_VERSION",
     "load_cache_snapshot",
     "save_cache_snapshot",
@@ -75,6 +80,18 @@ class CacheStats:
             "maxsize": self.maxsize,
             "hit_rate": self.hit_rate,
         }
+
+
+class PlanEntry(dict):
+    """A cached plan payload (a plain dict to every reader) carrying
+    ``hit_body``: the encoded result the daemon answers hits with, set on
+    the first hit (None until then)."""
+
+    __slots__ = ("hit_body",)
+
+    def __init__(self, payload: dict):
+        super().__init__(payload)
+        self.hit_body: "bytes | None" = None
 
 
 class LRUCache(Generic[K, V]):
@@ -224,7 +241,7 @@ def load_cache_snapshot(cache: "LRUCache[str, dict]", path: str) -> int:
         if payload.get("digest") != entry["digest"]:
             dropped += 1
             continue
-        cache.put(entry["digest"], payload)
+        cache.put(entry["digest"], PlanEntry(payload))
         restored += 1
     if dropped:
         logger.warning(

@@ -22,6 +22,7 @@ from typing import Mapping
 
 from .protocol import (
     MAX_LINE_BYTES,
+    EncodedResult,
     ProtocolError,
     decode_message,
     encode_message,
@@ -142,6 +143,26 @@ class PlanClient:
         that stale frame to the *next* request.  The next call
         reconnects transparently.
         """
+        return self._parse(*self._exchange(payload))
+
+    def request_encoded(self, payload: Mapping) -> "EncodedResult | dict":
+        """:meth:`request`, but a success frame exactly as this package's
+        encoder writes it (``{"id":<n>,"ok":true,"result":{...}}``) comes
+        back as its undecoded ``result`` object bytes, for relaying
+        without a decode/re-encode round trip.  Every other frame — an
+        error, a foreign encoding, a mismatched id — gets :meth:`request`'s
+        full decode, checks and exceptions.  The result must be the frame's
+        last member, as ``ok_response`` and ``ok_frame`` order it.
+        """
+        request_id, line = self._exchange(payload)
+        head = b'{"id":%d,"ok":true,"result":{' % request_id
+        if line.startswith(head) and line.endswith(b"}}\n"):
+            return EncodedResult(line[len(head) - 1:-2])
+        return self._parse(request_id, line)
+
+    def _exchange(self, payload: Mapping) -> "tuple[int, bytes]":
+        """Send one request; return its id and the complete response line
+        (transport failures close the socket and raise ``ClientError``)."""
         if self._sock is None:
             self.connect()
         assert self._sock is not None and self._fh is not None
@@ -170,6 +191,10 @@ class PlanClient:
                 f"truncated frame from {self.address} "
                 f"({len(line)} bytes, no terminator); connection closed"
             )
+        return request_id, line
+
+    def _parse(self, request_id: int, line: bytes) -> dict:
+        """The ``result`` of one response line to request ``request_id``."""
         try:
             response = decode_message(line)
         except ProtocolError as exc:

@@ -27,6 +27,11 @@ with a code from :data:`ERROR_CODES`.  All floats are strict JSON — a
 plan-free policy's per-slot ``allocated_power`` serializes as ``null``,
 never a bare ``NaN`` token.
 
+A result that is already encoded (an :class:`EncodedResult`, e.g. a
+cached plan) is spliced into its frame by :func:`ok_frame`, byte for
+byte what :func:`encode_message` of the matching :func:`ok_response`
+writes, without decoding or re-encoding it.
+
 Content digest
 --------------
 A plan request is cached and coalesced under :meth:`PlanRequest.digest`,
@@ -53,9 +58,11 @@ __all__ = [
     "MAX_LINE_BYTES",
     "ERROR_CODES",
     "ProtocolError",
+    "EncodedResult",
     "encode_message",
     "decode_message",
     "ok_response",
+    "ok_frame",
     "error_response",
     "scenario_names",
     "resolve_scenario",
@@ -98,12 +105,26 @@ class ProtocolError(ValueError):
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_message(payload: Mapping) -> bytes:
-    """One NDJSON frame: strict JSON, compact separators, ``\\n`` terminator."""
-    line = dumps_json(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+class EncodedResult(bytes):
+    """A ``result`` object already in the compact JSON that
+    :func:`encode_message` writes for it (no newline).  A dispatcher that
+    returns one has its reply framed by :func:`ok_frame` instead of being
+    encoded again."""
+
+    __slots__ = ()
+
+
+def _check_frame_size(line: bytes) -> bytes:
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError("internal", f"message exceeds {MAX_LINE_BYTES} bytes")
     return line
+
+
+def encode_message(payload: Mapping) -> bytes:
+    """One NDJSON frame: strict JSON, compact separators, ``\\n`` terminator."""
+    return _check_frame_size(
+        dumps_json(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    )
 
 
 def _reject_constant(token: str) -> None:
@@ -134,6 +155,14 @@ def decode_message(line: "bytes | str") -> dict:
 
 def ok_response(request_id: object, result: Mapping) -> dict:
     return {"id": request_id, "ok": True, "result": dict(result)}
+
+
+def ok_frame(request_id: object, body: bytes) -> bytes:
+    """The frame ``encode_message(ok_response(request_id, result))`` for a
+    result whose encoding is ``body``: the id is encoded, the body spliced
+    in as is.  Raises the same ``internal`` error past ``MAX_LINE_BYTES``."""
+    head = b'{"id":' + dumps_json(request_id, separators=(",", ":")).encode("utf-8")
+    return _check_frame_size(head + b',"ok":true,"result":' + body + b"}\n")
 
 
 def error_response(request_id: object, code: str, message: str) -> dict:

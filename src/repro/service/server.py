@@ -12,7 +12,9 @@ Serving model
   connections (the bench drives 8 at once).
 * **Caching** — finished plans live in a bounded LRU keyed by the
   request content digest.  A hit is answered in the connection thread,
-  no dispatch at all.
+  no dispatch at all, with bytes: the entry's result encoded on its first
+  hit (byte for byte a fresh encode) and reused until the plan is
+  evicted, so a warm reply only splices in the request id.
 * **Coalescing** — concurrent identical misses share one computation:
   the first requester submits to the executor, later ones attach to the
   same future.
@@ -69,8 +71,9 @@ from ..core.allocation import (
 )
 from ..core.pareto import OperatingFrontier
 from ..scenarios.paper import pama_frontier
-from .cache import LRUCache, load_cache_snapshot, save_cache_snapshot
+from .cache import LRUCache, PlanEntry, load_cache_snapshot, save_cache_snapshot
 from .protocol import (
+    EncodedResult,
     PlanRequest,
     ProtocolError,
     decode_message,
@@ -110,6 +113,17 @@ class ServerConfig:
     snapshot_interval_s: float = 30.0  #: periodic save cadence (0 = only at drain)
 
 
+def _hit_body(entry: PlanEntry) -> EncodedResult:
+    """The encoded result of a cache hit on ``entry``: ``{**payload,
+    "cached": true}``, encoded on the entry's first hit and reused.  Two
+    threads racing on a first hit encode the same bytes twice, harmlessly."""
+    body = entry.hit_body
+    if body is None:
+        body = EncodedResult(encode_message({**entry, "cached": True})[:-1])
+        entry.hit_body = body
+    return body
+
+
 class _Inflight:
     """One in-flight plan computation plus its attached waiter count."""
 
@@ -141,7 +155,7 @@ class PlanServer(LineServer):
             self._verifier = RuntimeVerifier(
                 frontier=self.frontier, metrics=self.metrics
             )
-        self._plan_cache: "LRUCache[str, dict]" = LRUCache(self.config.cache_size)
+        self._plan_cache: "LRUCache[str, PlanEntry]" = LRUCache(self.config.cache_size)
         # Degraded-mode fallback inventory: (scenario, policy, n_periods) →
         # {digest: supply_factor} for every payload the plan cache holds,
         # so a miss under duress can be answered with the nearest stale plan.
@@ -257,7 +271,7 @@ class PlanServer(LineServer):
     # ------------------------------------------------------------------
     # request dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, op: object, message: Mapping) -> dict:
+    def _dispatch(self, op: object, message: Mapping) -> "dict | EncodedResult":
         if op == "ping":
             return {"pong": True, "draining": self._draining.is_set()}
         if op == "status":
@@ -334,13 +348,13 @@ class PlanServer(LineServer):
         return {**payload, "cached": True, "degraded": True, "degraded_reason": reason}
 
     # ------------------------------------------------------------------
-    def _handle_plan(self, message: Mapping) -> dict:
+    def _handle_plan(self, message: Mapping) -> "dict | EncodedResult":
         request = PlanRequest.from_payload(message)
         digest = request.digest()
         cached = self._plan_cache.get(digest)
         if cached is not None:
             self.metrics.inc("plan_cache_hits")
-            return {**cached, "cached": True}
+            return _hit_body(cached)
         self.metrics.inc("plan_cache_misses")
         degraded = self._degraded_reason()
         if degraded is not None:
@@ -366,7 +380,7 @@ class PlanServer(LineServer):
                 finished = self._plan_cache.peek(digest)
                 if finished is not None:
                     self.metrics.inc("plan_cache_hits")
-                    return {**finished, "cached": True}
+                    return _hit_body(finished)
                 if self._pending >= self.config.max_pending:
                     shed_message = (
                         f"{self._pending} computations in flight "
@@ -454,7 +468,7 @@ class PlanServer(LineServer):
         if isinstance(result, CellFailure):
             return  # failures are answered, never cached
         payload = self._plan_payload(request, digest, result)
-        self._plan_cache.put(digest, payload)
+        self._plan_cache.put(digest, PlanEntry(payload))
         key = (request.scenario, request.policy, request.n_periods)
         with self._fallback_lock:
             self._fallback_index.setdefault(key, {})[digest] = request.supply_factor

@@ -15,6 +15,11 @@ over a Unix or TCP socket that does not depend on what a request means:
   (``latency_<op>_s``), tracks the active-request count, and turns a
   :class:`~repro.service.protocol.ProtocolError` into an error response.
   What an op *does* is the subclass's :meth:`LineServer._dispatch`.
+* **Replies** — a dict result is wrapped in an ``ok`` response and
+  encoded by the subclass's :meth:`LineServer._encode`; a result that is
+  already bytes (an :class:`~repro.service.protocol.EncodedResult`: a
+  cached plan, a forwarded backend reply) is spliced into its frame by
+  :func:`~repro.service.protocol.ok_frame` and never encoded again.
 * **Drain** — :meth:`LineServer.stop` stops accepting, waits (bounded by
   ``drain_timeout_s``) until :meth:`LineServer._idle`, then runs the
   subclass's :meth:`LineServer._quiesce` and :meth:`LineServer._release`
@@ -43,8 +48,10 @@ from typing import Mapping
 from .metrics import ServiceMetrics
 from .protocol import (
     MAX_LINE_BYTES,
+    EncodedResult,
     ProtocolError,
     error_response,
+    ok_frame,
     ok_response,
     parse_address,
 )
@@ -95,7 +102,7 @@ class LineServer:
     # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
-    def _dispatch(self, op: object, message: Mapping) -> dict:
+    def _dispatch(self, op: object, message: Mapping) -> "dict | EncodedResult":
         """Answer one decoded request; raise ``ProtocolError`` to refuse it."""
         raise NotImplementedError
 
@@ -312,8 +319,10 @@ class LineServer:
                 if not line:
                     break
                 response = self._handle_line(line)
+                if not isinstance(response, bytes):
+                    response = self._encode(response)
                 try:
-                    conn.sendall(self._encode(response))
+                    conn.sendall(response)
                 except OSError:
                     break
         finally:
@@ -325,7 +334,8 @@ class LineServer:
                 self._conns.pop(id(conn), None)
             self.metrics.inc("connections_closed")
 
-    def _handle_line(self, line: bytes) -> dict:
+    def _handle_line(self, line: bytes) -> "dict | bytes":
+        """The response to one frame: a dict to encode, or a finished frame."""
         try:
             message = self._decode(line)
         except ProtocolError as exc:
@@ -341,7 +351,10 @@ class LineServer:
         t0 = time.perf_counter()
         try:
             result = self._dispatch(op, message)
-            response = ok_response(request_id, result)
+            if isinstance(result, EncodedResult):
+                response = ok_frame(request_id, result)
+            else:
+                response = ok_response(request_id, result)
         except ProtocolError as exc:
             self.metrics.inc(f"errors_{exc.code}")
             response = error_response(request_id, exc.code, exc.message)

@@ -17,10 +17,17 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.fleet.gateway import GatewayConfig, PlanGateway
+from repro.fleet.gateway import GatewayConfig, PlanGateway, _with_served_by
 from repro.fleet.router import RendezvousRouter
 from repro.service.client import PlanClient, PlanServiceError
-from repro.service.protocol import PlanRequest, error_response, ok_response
+from repro.service.protocol import (
+    EncodedResult,
+    PlanRequest,
+    encode_message,
+    error_response,
+    ok_frame,
+    ok_response,
+)
 from repro.service.server import PlanServer, ServerConfig
 
 pytestmark = pytest.mark.fleet
@@ -455,3 +462,86 @@ class TestZeroFailures:
                 survivors = {b.endpoint, c.endpoint}
                 late = [r["served_by"] for r in results[-n_workers:]]
                 assert set(late) <= survivors | {a.endpoint}
+
+
+# ----------------------------------------------------------------------
+# pass-through: the backend's result bytes plus served_by
+# ----------------------------------------------------------------------
+def _no_duplicate_keys(pairs):
+    keys = [key for key, _ in pairs]
+    assert len(keys) == len(set(keys)), f"duplicate keys in {keys}"
+    return dict(pairs)
+
+
+def _raw_exchange(endpoint: str, message: dict) -> bytes:
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30.0)
+        sock.connect(endpoint[len("unix:"):])
+        sock.sendall(encode_message(message))
+        with sock.makefile("rb") as fh:
+            return fh.readline()
+
+
+class TestPassThrough:
+    ADDRESSES = ("unix:/tmp/backend-0.sock", 'tcp:host"q\\é:80')
+
+    @pytest.mark.parametrize("address", ADDRESSES)
+    @pytest.mark.parametrize("request_id", [1, -7, 2**64, 0.5, None, "é\"\\", [1, {}]])
+    def test_splice_equals_encoding_the_merged_dict(self, request_id, address):
+        result = {"a": 1, "b": [0.1, None, "x\n"], "cached": True}
+        body = EncodedResult(encode_message(result)[:-1])
+        spliced = _with_served_by(body, address)
+        assert isinstance(spliced, EncodedResult)
+        assert ok_frame(request_id, spliced) == encode_message(
+            ok_response(request_id, {**result, "served_by": address})
+        )
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            (b"{}", {"served_by": "unix:/b"}),
+            (b'{"x":1,"served_by":"unix:/a"}', {"x": 1, "served_by": "unix:/b"}),
+        ],
+    )
+    def test_empty_or_tagged_results_take_the_dict_path(self, body, expected):
+        tagged = _with_served_by(EncodedResult(body), "unix:/b")
+        assert type(tagged) is dict and tagged == expected
+
+    @pytest.mark.parametrize(
+        "result", [{}, {"pong": True, "served_by": "somewhere-else"}]
+    )
+    def test_relayed_frames_stay_well_formed(self, tmp_path, result):
+        def script(message):
+            if message.get("op") == "status":
+                return _probe_ok(message)
+            reply = ok_response(message["id"], result)
+            return ("send_raw", encode_message(reply))
+
+        backend = ScriptedBackend(f"{tmp_path}/b.sock", script)
+        try:
+            with running_gateway(tmp_path, [backend.address]) as gw:
+                line = _raw_exchange(
+                    gw.endpoint, {"id": 5, "op": "sweep", "scenarios": ["scenario1"]}
+                )
+        finally:
+            backend.close()
+        reply = json.loads(line, object_pairs_hook=_no_duplicate_keys)
+        assert reply == {
+            "id": 5, "ok": True, "result": {**result, "served_by": backend.address}
+        }
+
+    def test_gateway_frame_is_the_backend_hit_plus_served_by(
+        self, tmp_path, frontier
+    ):
+        with running_server(tmp_path, frontier, "a") as a:
+            with PlanClient(a.endpoint, timeout=30.0) as client:
+                client.plan("scenario1", n_periods=6)
+                direct = client.plan("scenario1", n_periods=6)
+            assert direct["cached"] is True
+            with running_gateway(tmp_path, [a.endpoint]) as gw:
+                message = {"id": "req-1", "op": "plan", "scenario": "scenario1",
+                           "n_periods": 6}
+                line = _raw_exchange(gw.endpoint, message)
+        assert line == encode_message(
+            ok_response("req-1", {**direct, "served_by": a.endpoint})
+        )

@@ -101,3 +101,33 @@ class TestDrain:
         first = launcher.terminate()
         second = launcher.terminate()
         assert first == second
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+class TestWorkerLifetime:
+    def test_pool_workers_exit_when_their_daemon_is_killed(self, tmp_path):
+        launcher = _launcher(tmp_path, n_workers=2)
+        try:
+            launcher.spawn()
+            backend = launcher.backends[0]
+            with PlanClient(backend.address, timeout=60.0) as client:
+                client.plan("scenario1", n_periods=1)  # starts the pool
+                workers = client.status()["server"]["worker_pids"]
+            assert len(workers) == 2 and all(_running(pid) for pid in workers)
+            launcher.kill(0, signal.SIGKILL)
+            backend.process.wait(timeout=30.0)
+            _wait_until(
+                lambda: not any(_running(pid) for pid in workers),
+                timeout_s=5.0,
+                message="the orphaned pool workers to exit",
+            )
+        finally:
+            launcher.terminate()

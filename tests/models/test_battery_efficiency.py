@@ -51,6 +51,16 @@ class TestChargeEfficiency:
         assert ideal.level == pytest.approx(10.0)
         assert lossy.level == pytest.approx(5.0)
 
+    def test_subnormal_surplus_stores_nothing(self):
+        """η_c × a subnormal surplus underflows to 0 W into the cell: the
+        step must store nothing instead of dividing by zero."""
+        spec = BatterySpec(c_max=15.0, c_min=1.0, initial=8.0, charge_efficiency=0.5)
+        b = Battery(spec)
+        step = b.step(charge_power=5e-324, draw_power=0.0, dt=1.0)
+        assert b.level == 8.0
+        assert step.charged == 5e-324
+        assert step.wasted == 0.0
+
 
 class TestDischargeEfficiency:
     def test_cell_drains_faster_than_delivery(self):

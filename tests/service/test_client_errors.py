@@ -21,6 +21,7 @@ import repro.analysis.batch as batch
 from repro.analysis.batch import register_policy
 from repro.analysis.energy import run_demand_follower
 from repro.service.client import ClientError, PlanClient, PlanServiceError
+from repro.service.protocol import EncodedResult
 from repro.service.server import PlanServer, ServerConfig
 
 pytestmark = pytest.mark.service
@@ -142,4 +143,64 @@ class TestMidFrameFailures:
             client = PlanClient(address, timeout=2.0)
             with pytest.raises(PlanServiceError, match="does not match"):
                 client.ping()
+            assert not client.connected
+
+
+class TestEncodedRequest:
+    """``request_encoded``: the gateway's relay path keeps every check."""
+
+    def test_exact_ok_frame_comes_back_as_result_bytes(self, tmp_path):
+        def compact(message):
+            return b'{"id":%d,"ok":true,"result":{"pong":true}}\n' % message["id"]
+
+        with scripted_listener(tmp_path, compact) as address:
+            client = PlanClient(address, timeout=2.0)
+            result = client.request_encoded({"op": "ping"})
+            assert isinstance(result, EncodedResult)
+            assert result == b'{"pong":true}'
+            client.close()
+
+    def test_other_encodings_are_decoded(self, tmp_path):
+        def spaced(message):
+            reply = {"id": message["id"], "ok": True, "result": {"pong": True}}
+            return (json.dumps(reply) + "\n").encode("utf-8")
+
+        with scripted_listener(tmp_path, spaced) as address:
+            client = PlanClient(address, timeout=2.0)
+            assert client.request_encoded({"op": "ping"}) == {"pong": True}
+            client.close()
+
+    def test_error_frame_raises_the_service_error(self, tmp_path):
+        def refuse(message):
+            return (
+                b'{"id":%d,"ok":false,"error":{"code":"overloaded","message":"busy"}}\n'
+                % message["id"]
+            )
+
+        with scripted_listener(tmp_path, refuse) as address:
+            client = PlanClient(address, timeout=2.0)
+            with pytest.raises(PlanServiceError) as info:
+                client.request_encoded({"op": "plan"})
+            assert info.value.code == "overloaded"
+            client.close()
+
+    def test_mismatched_id_drops_the_connection(self, tmp_path):
+        def stale(message):
+            return b'{"id":999,"ok":true,"result":{"pong":true}}\n'
+
+        with scripted_listener(tmp_path, stale) as address:
+            client = PlanClient(address, timeout=2.0)
+            with pytest.raises(PlanServiceError, match="does not match") as info:
+                client.request_encoded({"op": "ping"})
+            assert info.value.code == "internal"
+            assert not client.connected
+
+    def test_truncated_frame_raises_client_error(self, tmp_path):
+        def half(message):
+            return b'{"id":%d,"ok":true,"result":{"pong"' % message["id"]
+
+        with scripted_listener(tmp_path, half) as address:
+            client = PlanClient(address, timeout=2.0)
+            with pytest.raises(ClientError, match="truncated frame"):
+                client.request_encoded({"op": "ping"})
             assert not client.connected
